@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import os
+import tempfile
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -48,6 +50,8 @@ from ..topology.graph import NetworkDisconnected
 from ..topology.hyperx import HyperX
 from ..topology.torus import Torus
 from .runner import ExperimentRunner, PointSpec
+
+logger = logging.getLogger(__name__)
 
 #: Salt of the on-disk cache key.  Bump whenever a simulator/routing
 #: change alters what a point produces, so stale records from earlier
@@ -506,23 +510,36 @@ class Executor:
         try:
             with open(path) as f:
                 return decode_json_safe(json.load(f)["record"])
-        except (OSError, ValueError, KeyError):
+        except FileNotFoundError:
+            return None  # a plain miss
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            logger.warning(
+                "unreadable cache file %s (%s: %s); re-simulating the point",
+                path, type(exc).__name__, exc,
+            )
             return None
 
     def _cache_store(self, job: PointJob, record: dict) -> None:
         assert self.cache_dir is not None
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._cache_path(job)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as f:
-            # allow_nan=False: a non-finite float slipping past the encoder
-            # fails loudly here instead of writing invalid strict JSON.
-            json.dump(
-                {"key": path.stem, "record": encode_json_safe(record)},
-                f,
-                allow_nan=False,
-            )
-        os.replace(tmp, path)  # atomic: concurrent sweeps never see halves
+        # A temp file unique to this writer: two processes storing the
+        # same key never truncate each other's half-written file.
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                # allow_nan=False: a non-finite float slipping past the
+                # encoder fails loudly here instead of writing invalid
+                # strict JSON.
+                json.dump(
+                    {"key": path.stem, "record": encode_json_safe(record)},
+                    f,
+                    allow_nan=False,
+                )
+            os.replace(tmp, path)  # atomic: concurrent sweeps never see halves
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     # -- driving -------------------------------------------------------
     def run(self, jobs: Iterable[PointJob]) -> list[dict]:

@@ -53,7 +53,14 @@ class PolarizedRoutes:
 
     def __init__(self, network: Network):
         self.network = network
-        self.dist = network.distances
+        self._load_tables()
+
+    def _load_tables(self) -> None:
+        #: Plain-list rows of the network's BFS matrix (which stays the
+        #: source of truth): the matrix is symmetric, so ``rows[x][y]``
+        #: is ``d(y, x)`` too and the per-hop scan reads Python ints by
+        #: list index.
+        self.rows: list[list[int]] = self.network.distances.tolist()
 
     def init_packet(self, pkt) -> None:
         pkt.hops = 0
@@ -64,10 +71,8 @@ class PolarizedRoutes:
 
     def ports(self, pkt, current: int) -> list[tuple[int, int, int]]:
         """Candidate ``(port, neighbour, penalty)`` hops at ``current``."""
-        src = pkt.src_switch
-        dst = pkt.dst_switch
-        ds_row = self.dist[:, src]
-        dt_row = self.dist[:, dst]
+        ds_row = self.rows[pkt.src_switch]
+        dt_row = self.rows[pkt.dst_switch]
         ds_c = ds_row[current]
         dt_c = dt_row[current]
         closer = pkt.closer
@@ -88,7 +93,7 @@ class PolarizedRoutes:
                         continue
                 else:  # (0,0) revolving both: not in Table 1
                     continue
-            out.append((port, int(nbr), PENALTY_BY_DELTA_MU[int(dmu)]))
+            out.append((port, nbr, PENALTY_BY_DELTA_MU[dmu]))
         return out
 
     def ports_key(self, pkt) -> tuple:
@@ -98,19 +103,17 @@ class PolarizedRoutes:
 
     def on_hop(self, pkt, new_switch: int) -> None:
         pkt.hops += 1
-        pkt.closer = bool(
-            self.dist[new_switch, pkt.src_switch] < self.dist[new_switch, pkt.dst_switch]
-        )
+        row = self.rows[new_switch]
+        pkt.closer = row[pkt.src_switch] < row[pkt.dst_switch]
 
     def on_topology_change(self) -> None:
-        self.dist = self.network.distances
+        self._load_tables()
 
     def refresh_packet(self, pkt, current: int) -> None:
         # The header bit was computed against the old distances; recompute
         # it at the packet's current switch so the Δµ=0 gating stays sound.
-        pkt.closer = bool(
-            self.dist[current, pkt.src_switch] < self.dist[current, pkt.dst_switch]
-        )
+        row = self.rows[current]
+        pkt.closer = row[pkt.src_switch] < row[pkt.dst_switch]
 
     def max_route_length(self) -> int:
         # Polarized routes never exceed twice the diameter (µ increases at

@@ -60,6 +60,23 @@ class RouteSet(Protocol):
     def max_route_length(self) -> int: ...
 
 
+class _TripleTable(dict[int, list[tuple[Candidate, ...]]]):
+    """Interned candidate triples: ``table[pen][port]`` is the tuple of
+    ``(port, vc, pen)`` over ``vcs``, built once per penalty on first use
+    so :meth:`SurePathRouting.candidates` extends its list with shared
+    tuples instead of building new ones per call."""
+
+    def __init__(self, vcs: tuple[int, ...], n_ports: int):
+        super().__init__()
+        self.vcs = vcs
+        self.n_ports = n_ports
+
+    def __missing__(self, pen: int) -> list[tuple[Candidate, ...]]:
+        row = [tuple((port, vc, pen) for vc in self.vcs) for port in range(self.n_ports)]
+        self[pen] = row
+        return row
+
+
 class SurePathRouting(RoutingMechanism):
     """SurePath: base route set on ``CRout`` + Up/Down escape on ``CEsc``.
 
@@ -103,6 +120,9 @@ class SurePathRouting(RoutingMechanism):
         #: Routing VCs (CRout) and the escape VC (CEsc).
         self.routing_vcs: tuple[int, ...] = tuple(range(n_vcs - 1))
         self.escape_vc: int = n_vcs - 1
+        n_ports = max((len(row) for row in network.port_neighbour), default=0)
+        self._routing_triples = _TripleTable(self.routing_vcs, n_ports)
+        self._escape_triples = _TripleTable((self.escape_vc,), n_ports)
 
     # ------------------------------------------------------------------
     # RoutingMechanism interface
@@ -118,15 +138,16 @@ class SurePathRouting(RoutingMechanism):
         out: list[Candidate] = []
         if not pkt.in_escape:
             # Rule 1: base-routing hops on every routing VC.
+            triples = self._routing_triples
             for port, _nbr, pen in self.routes.ports(pkt, current):
-                for vc in self.routing_vcs:
-                    out.append((port, vc, pen))
+                out += triples[pen][port]
         # Rule 2: escape hops are always on offer (and are the only offer
         # once the packet is in CEsc, or when rule 1 yields nothing).
         # Packets outside the escape start it in the climb phase.
         phase = pkt.escape_phase if pkt.in_escape else PHASE_CLIMB
+        triples = self._escape_triples
         for port, _nbr, pen in self.escape.candidates(current, pkt.dst_switch, phase):
-            out.append((port, self.escape_vc, pen))
+            out += triples[pen][port]
         return out
 
     def candidate_key(self, pkt, current: int) -> tuple | None:

@@ -14,8 +14,8 @@ Implementations
 * :class:`QPArbiter` (``"qp"``, default) — the paper's rule, bit-for-bit:
   requests minimise ``(port_load + vc_load) * phits + penalty`` with
   uniform random tie-breaks; ports grant in ascending score order.  Its
-  ``allocate`` is the monolithic engine's hot loop moved here verbatim,
-  so the default composition stays record-identical *and* as fast.
+  ``allocate`` is the monolithic engine's hot loop, with the same RNG
+  draw order, so the default composition stays record-identical.
 * :class:`RoundRobinArbiter` (``"roundrobin"``) — rotating pointers: each
   input cycles through its feasible candidates, each output port grants
   inputs in cyclic order starting after the last winner.  No load
@@ -64,25 +64,54 @@ class Arbiter(ABC):
         of crossbar grants made this slot."""
 
     # ------------------------------------------------------------------
-    # Shared building blocks for non-default arbiters
+    # Shared building blocks
     # ------------------------------------------------------------------
+    @staticmethod
+    def _score_row(sim, sw) -> list[int]:
+        """The switch's request-time view of its output VCs: entry ``pv``
+        is the paper's ``Q`` in phits, ``(port_load + load[pv]) *
+        packet_phits``, or ``-1`` where flow control refuses a grant
+        (``credits[pv] < min_credits`` or ``out_occ[pv] >=
+        output_capacity``).
+
+        A plain-list snapshot of the store rows, built once per visited
+        switch: nothing mutates this switch's credit/load state between
+        its request scan and its grant phase (grants at earlier switches
+        already happened), so the scan reads exact values at list-index
+        speed.  The grant phase re-checks the *live* rows, because an
+        earlier grant may consume the last slot.
+        """
+        n_vcs = sw.n_vcs
+        phits = sim._phits
+        fc = sim.flow_control
+        min_cred = fc.min_credits
+        out_cap = fc.output_capacity
+        port_load = sw.port_load.tolist()
+        return [
+            (port_load[pv // n_vcs] + load) * phits
+            if cred >= min_cred and occ < out_cap
+            else -1
+            for pv, (cred, occ, load) in enumerate(
+                zip(
+                    sw.credits.tolist(),
+                    sw.state.out_occ[sw.row].tolist(),
+                    sw.load.tolist(),
+                )
+            )
+        ]
+
     def _hol_requests(self, sim, sw) -> list[tuple[int, Packet, list]]:
         """``(input_idx, packet, feasible)`` for every head-of-line packet.
 
         ``feasible`` is the flow-control-filtered candidate list
-        ``[(port, vc, penalty), ...]``; packets with no candidates at all
-        are counted as stalled, exactly like the default path does.
+        ``[(port, vc, penalty), ...]`` (admission read from
+        :meth:`_score_row`); packets with no candidates at all are
+        counted as stalled, exactly like the default path does.
         """
         mech = sim.mechanism
         sid = sw.sid
         n_vcs = sw.n_vcs
-        # List snapshot (see QPArbiter.allocate): exact until the first
-        # commit, and every commit happens after the request scan.
-        credits = sw.credits.tolist()
-        out_q = sw.out_q
-        fc = sim.flow_control
-        min_cred = fc.min_credits
-        out_cap = fc.output_capacity
+        row = self._score_row(sim, sw)
         out = []
         for idx in sw.active_inputs:
             pkt = sw.in_q[idx][0]
@@ -97,12 +126,7 @@ class Arbiter(ABC):
             if not cands:
                 sim.metrics.on_stalled(pkt, sim.slot)
                 continue
-            feasible = [
-                (port, vc, pen)
-                for port, vc, pen in cands
-                if credits[port * n_vcs + vc] >= min_cred
-                and len(out_q[port * n_vcs + vc]) < out_cap
-            ]
+            feasible = [c for c in cands if row[c[0] * n_vcs + c[1]] >= 0]
             if feasible:
                 out.append((idx, pkt, feasible))
         return out
@@ -151,7 +175,8 @@ class QPArbiter(Arbiter):
     """The paper's ``Q + P`` output selection (default, record-identical).
 
     ``allocate`` is the pre-refactor engine loop: flow control and the
-    ``Q`` term are inlined on the switch's raw credit/occupancy arrays,
+    ``Q`` term come from one :meth:`~Arbiter._score_row` per visited
+    switch, so each candidate costs one list index and one add;
     candidates are memoised on the packet, and the RNG is consulted in
     the exact historical order (request tie-breaks, then grant-order
     tie-breaks) so default-composition records stay byte-identical.
@@ -162,28 +187,17 @@ class QPArbiter(Arbiter):
     def allocate(self, sim) -> int:
         granted = 0
         mech = sim.mechanism
-        phits = sim._phits
-        fc = sim.flow_control
-        min_cred = fc.min_credits
-        out_cap = fc.output_capacity
         rng = sim.rng
         metrics = sim.metrics
         n_vcs = sim._n_vcs
         slot = sim.slot
+        score_row = self._score_row
         for sw in sim.alloc_switches():
             if not sw.active_inputs:
                 continue
             sid = sw.sid
             in_q = sw.in_q
-            out_q = sw.out_q
-            # Plain-list snapshots of the store rows: nothing mutates
-            # this switch's credit/load state between here and its grant
-            # phase (grants at earlier switches already happened), so
-            # the request loop reads exact values at list-index speed;
-            # the grant phase re-checks the *live* rows.
-            credits = sw.credits.tolist()
-            load = sw.load.tolist()
-            port_load = sw.port_load.tolist()
+            row = score_row(sim, sw)
             # ---- requests -------------------------------------------------
             requests: dict[int, list[tuple[float, float, int, int, Packet]]] = {}
             for idx in sw.active_inputs:
@@ -202,10 +216,10 @@ class QPArbiter(Arbiter):
                 best_score = None
                 best: list[tuple[int, int]] = []
                 for port, vc, pen in cands:
-                    pv = port * n_vcs + vc
-                    if credits[pv] < min_cred or len(out_q[pv]) >= out_cap:
-                        continue
-                    score = (port_load[port] + load[pv]) * phits + pen
+                    q = row[port * n_vcs + vc]
+                    if q < 0:
+                        continue  # flow control refuses this output VC
+                    score = q + pen
                     if best_score is None or score < best_score:
                         best_score = score
                         best = [(port, vc)]

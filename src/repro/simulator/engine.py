@@ -403,8 +403,7 @@ class Simulator:
         The arbiter owns output selection and grant order; flow-control
         admission comes from ``self.flow_control``'s thresholds.  The
         default :class:`~repro.simulator.arbiters.QPArbiter` is the
-        historical inlined Q+P loop, moved verbatim (record-identical,
-        same RNG draw order, same hot-path shortcuts).
+        historical Q+P loop (record-identical, same RNG draw order).
         """
         return self.arbiter.allocate(self)
 

@@ -5,10 +5,12 @@ the flow-control policy accepts it.  Policies are deliberately expressed
 as two *thresholds* the hot loop can read as plain integers —
 ``min_credits`` (downstream input slots that must be free) and
 ``output_capacity`` (output-FIFO depth the grant may fill up to) — so
-that plugging a policy costs nothing on the paper's fast path: the
-:class:`~repro.simulator.arbiters.QPArbiter` inlines the comparison
-``credits[pv] >= min_credits and len(out_q[pv]) < output_capacity``
-exactly as the monolithic engine used to.
+that plugging a policy costs nothing on the paper's fast path: every
+arbiter's request scan reads admission from
+:meth:`~repro.simulator.arbiters.Arbiter._score_row`, which evaluates
+``credits[pv] >= min_credits and out_occ[pv] < output_capacity`` once
+per output VC per visited switch (``-1`` marks a refused VC), and the
+grant phase re-checks the same comparison on the live rows.
 
 Implementations
 ---------------
@@ -59,7 +61,7 @@ class FlowControl(ABC):
 
     def can_accept(self, sw, port: int, vc: int) -> bool:
         """Semantic form of the admission test (helpers/tests; the
-        arbiters inline the same comparison on the raw arrays)."""
+        arbiters evaluate the same comparison on the raw store rows)."""
         pv = sw.pv(port, vc)
         return (
             sw.credits[pv] >= self.min_credits

@@ -52,8 +52,9 @@ against — they are now thin views:
 * A switch's ``credits`` / ``load`` / ``port_load`` / ``rr`` attributes
   *are* row views into these arrays (single-resident: mutating the view
   mutates the store, there is nothing to diverge).
-* The FIFOs themselves stay ``deque`` objects (the packets need an
-  ordered container), and the derived columns — ``in_occ``,
+* The FIFOs themselves stay plain lists, head first (the packets need
+  an ordered container; buffers are a few packets deep, so ``pop(0)``
+  is cheap), and the derived columns — ``in_occ``,
   ``out_occ``, ``hol_dst``, packet positions — are maintained by the
   switch's queue methods (``push_input`` / ``pop_input`` / ``grant`` /
   ``transmit`` / ``unqueue_output``).  All engine code mutates queues

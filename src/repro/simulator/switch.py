@@ -25,21 +25,22 @@ Since the :class:`~repro.simulator.state.SimState` refactor the numeric
 state is *owned by the store*: ``credits`` / ``load`` / ``port_load`` /
 ``rr`` are numpy row views into the simulator-wide 2D arrays (same
 indexing, same semantics — mutating the view mutates the store), while
-the FIFOs stay ``deque`` objects here with their derived columns
-(``in_occ`` / ``out_occ`` / ``hol_dst`` / packet positions) maintained
-by the queue methods :meth:`push_input`, :meth:`pop_input`,
-:meth:`grant`, :meth:`transmit` and :meth:`unqueue_output`.  Engine code
-moves packets through these methods only, so the array backend's
-vectorized phase kernels can trust the columns without rescanning any
-queue.  A standalone ``Switch(...)`` (component tests) owns a private
+the FIFOs stay plain lists here, head at index 0 (a buffer holds at most
+a few packets, so ``pop(0)`` is cheap, and a list is a fraction of a
+``deque``'s size across the tens of thousands of FIFOs of a paper-scale
+network), with their derived columns (``in_occ`` / ``out_occ`` /
+``hol_dst`` / packet positions) maintained by the queue methods
+:meth:`push_input`, :meth:`pop_input`, :meth:`grant`, :meth:`transmit`
+and :meth:`unqueue_output`.  Engine code moves packets through these
+methods only, so the arbiters' admission snapshot and the array
+backend's vectorized phase kernels can trust the columns without
+rescanning any queue.  A standalone ``Switch(...)`` (component tests) owns a private
 single-switch store.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections import deque
-from typing import Deque
 
 from .config import SimConfig
 from .packet import Packet
@@ -100,7 +101,7 @@ class Switch:
         self.state = state
         r = self.row = sid if row is None else row
         #: Input FIFOs: network inputs then injection queues.
-        self.in_q: list[Deque[Packet]] = [deque() for _ in range(self.n_inputs)]
+        self.in_q: list[list[Packet]] = [[] for _ in range(self.n_inputs)]
         #: Indices of non-empty input FIFOs (maintained via
         #: :meth:`activate`/:meth:`deactivate`).  The set backs O(1)
         #: membership and the allocation phase's historical iteration
@@ -116,7 +117,7 @@ class Switch:
         #: ``n_inputs``; the consumer clears it.
         self.dirty_heads: set[int] = set()
         #: Output FIFOs per (port, vc).
-        self.out_q: list[Deque[Packet]] = [deque() for _ in range(npv)]
+        self.out_q: list[list[Packet]] = [[] for _ in range(npv)]
         #: Free downstream input slots per output VC (store row view).
         self.credits = state.credits[r, :npv]
         #: Q-rule load per output VC: output occupancy + consumed credits.
@@ -189,7 +190,7 @@ class Switch:
         caller decides the packet's next position (output FIFO via
         :meth:`grant`, or release on ejection)."""
         q = self.in_q[idx]
-        pkt = q.popleft()
+        pkt = q.pop(0)
         self.dirty_heads.add(idx)
         if q:
             self._hol_dst[idx] = q[0].dst_switch
@@ -233,7 +234,7 @@ class Switch:
             q = self.out_q[base + vc]
             if q:
                 self.rr[port] = (vc + 1) % self.n_vcs
-                pkt = q.popleft()
+                pkt = q.pop(0)
                 self.load[base + vc] -= 1
                 self.port_load[port] -= 1
                 self._out_occ[base + vc] -= 1
@@ -244,7 +245,7 @@ class Switch:
         """Remove the head of output FIFO ``pv`` *without* transmitting
         it (fault purge): the FIFO slot frees and the downstream credit
         reservation returns, keeping the Q-rule accounting exact."""
-        pkt = self.out_q[pv].popleft()
+        pkt = self.out_q[pv].pop(0)
         self.credits[pv] += 1
         self.load[pv] -= 2
         self.port_load[pv // self.n_vcs] -= 2

@@ -137,6 +137,12 @@ class EscapeSubnetwork:
         self.dist_a, self.dist_b = self._compute_escape_distances()
         #: Classic Up/Down distance over black links only (analysis/tests).
         self.udist: np.ndarray = self._compute_updown_distances()
+        # Transposed plain-list copies for :meth:`candidates`, indexed
+        # [target][switch]: one row read per call, then Python ints by
+        # list index.  The matrices above stay the source of truth.
+        self._da_by_target: list[list[int]] = self.dist_a.T.tolist()
+        self._db_by_target: list[list[int]] = self.dist_b.T.tolist()
+        self._ud_by_target: list[list[int]] = self.udist.T.tolist()
 
     def rebuild(self) -> None:
         """Recompute the escape tables after an online topology change.
@@ -233,14 +239,14 @@ class EscapeSubnetwork:
         """
         if current == target:
             return []
-        da_row = self.dist_a[:, target]
-        db_row = self.dist_b[:, target]
+        db_row = self._db_by_target[target]
         kinds = self.link_kind[current]
         out: list[tuple[int, int, int]] = []
         if phase == PHASE_CLIMB:
-            here = int(da_row[current])
-            ud_row = self.udist[:, target]
-            ud_here = int(ud_row[current])
+            da_row = self._da_by_target[target]
+            here = da_row[current]
+            ud_row = self._ud_by_target[target]
+            ud_here = ud_row[current]
             for port, nbr in self.network.live_ports[current]:
                 kind = kinds[port]
                 if kind > 0:  # up: stay in climb phase
@@ -253,10 +259,10 @@ class EscapeSubnetwork:
                     if self.shortcuts and db_row[nbr] < here:
                         # Penalty graded by the paper's metric: how much the
                         # classic Up/Down distance shrinks across the link.
-                        reduction = max(1, ud_here - int(ud_row[nbr]))
+                        reduction = max(1, ud_here - ud_row[nbr])
                         out.append((port, nbr, shortcut_penalty(reduction)))
         else:
-            here = int(db_row[current])
+            here = db_row[current]
             for port, nbr in self.network.live_ports[current]:
                 if kinds[port] < 0 and db_row[nbr] < here:
                     out.append((port, nbr, DOWN_PENALTY))

@@ -1,5 +1,8 @@
 """Executor subsystem tests: jobs, serial/parallel equivalence, caching."""
 
+import logging
+import os
+
 import pytest
 
 from repro.experiments import executor as executor_mod
@@ -207,6 +210,58 @@ class TestResultCache:
             path.write_text("{not json")
         again = ex.run(jobs)
         assert again == first
+
+    def test_corrupt_cache_entry_logs_its_path(self, net2d, tmp_path, caplog):
+        ex = SerialExecutor(cache_dir=tmp_path)
+        jobs = load_sweep_jobs(net2d, ["Minimal"], ["uniform"], [0.2], **SWEEP_KW)
+        ex.run(jobs)
+        (path,) = tmp_path.glob("*.json")
+        path.write_text("{not json")
+        with caplog.at_level(logging.WARNING, logger=executor_mod.__name__):
+            ex.run(jobs)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert str(path) in warnings[0].getMessage()
+
+    def test_missing_cache_entry_is_silent(self, net2d, tmp_path, caplog):
+        ex = SerialExecutor(cache_dir=tmp_path)
+        jobs = load_sweep_jobs(net2d, ["Minimal"], ["uniform"], [0.2], **SWEEP_KW)
+        with caplog.at_level(logging.DEBUG, logger=executor_mod.__name__):
+            ex.run(jobs)
+        assert caplog.records == []
+
+    def test_concurrent_stores_use_distinct_temp_files(
+        self, net2d, tmp_path, monkeypatch
+    ):
+        ex = SerialExecutor(cache_dir=tmp_path)
+        (job,) = load_sweep_jobs(
+            net2d, ["Minimal"], ["uniform"], [0.2], **SWEEP_KW
+        )
+        record = run_job(job)
+        replaced = []
+        real_replace = os.replace
+
+        def recording_replace(src, dst):
+            replaced.append((src, dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        ex._cache_store(job, record)
+        ex._cache_store(job, record)
+        (first_tmp, first_dst), (second_tmp, second_dst) = replaced
+        assert first_tmp != second_tmp
+        assert first_dst == second_dst == ex._cache_path(job)
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert ex._cache_load(job) == record
+
+    def test_failed_store_leaves_no_temp_file(self, net2d, tmp_path):
+        ex = SerialExecutor(cache_dir=tmp_path)
+        (job,) = load_sweep_jobs(
+            net2d, ["Minimal"], ["uniform"], [0.2], **SWEEP_KW
+        )
+        with pytest.raises(TypeError):
+            ex._cache_store(job, {"unserialisable": object()})
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_dir_must_not_be_a_file(self, tmp_path):
         path = tmp_path / "occupied"
